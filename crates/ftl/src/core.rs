@@ -9,8 +9,10 @@ use crate::ru::{build_rus, Ru, RuId, RuPhase};
 use crate::stats::FtlStats;
 use crate::{Lpn, Pid};
 
-/// Sentinel for "unmapped" in the L2P table.
-const NO_PHYS: u64 = u64::MAX;
+/// Sentinel for "unmapped" in the L2P table. Entries hold the flat
+/// physical index plus one, so a new table is all zeroes: building a
+/// device allocates it without touching its pages.
+const NO_PHYS: u32 = 0;
 
 /// Errors surfaced to the device layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,8 +83,9 @@ pub struct WriteResult {
 pub struct Ftl {
     cfg: FtlConfig,
     rus: Vec<Ru>,
-    /// LPN → flat physical index (`ru_id * ru_pages + offset`).
-    l2p: Vec<u64>,
+    /// LPN → flat physical index plus one (`ru_id * ru_pages + offset +
+    /// 1`), or [`NO_PHYS`]. 32 bits cover 16 TiB of 4 KiB pages.
+    l2p: Vec<u32>,
     free: VecDeque<RuId>,
     /// Host append point per PID (conventional mode uses slot 0 only).
     active: Vec<Option<RuId>>,
@@ -102,6 +105,10 @@ impl Ftl {
         if let Err(e) = cfg.validate() {
             panic!("invalid FTL config: {e}");
         }
+        assert!(
+            cfg.geometry.total_pages() < u32::MAX as u64,
+            "device too large for 32-bit page maps"
+        );
         let rus = build_rus(&cfg.geometry, cfg.ru_blocks, cfg.ru_pages());
         let free: VecDeque<RuId> = (0..rus.len() as RuId).collect();
         let streams = match cfg.mode {
@@ -180,13 +187,14 @@ impl Ftl {
         }
     }
 
-    fn decode(&self, phys: u64) -> (RuId, u64) {
+    fn decode(&self, slot: u32) -> (RuId, u64) {
         let rp = self.cfg.ru_pages();
+        let phys = slot as u64 - 1;
         ((phys / rp) as RuId, phys % rp)
     }
 
-    fn encode(&self, ru: RuId, offset: u64) -> u64 {
-        ru as u64 * self.cfg.ru_pages() + offset
+    fn encode(&self, ru: RuId, offset: u64) -> u32 {
+        (ru as u64 * self.cfg.ru_pages() + offset + 1) as u32
     }
 
     /// Physical location of `lpn`, if mapped. Also counts a host read.
@@ -424,16 +432,15 @@ impl Ftl {
     /// # Panics
     /// Panics with a description on the first violated invariant.
     pub fn check_invariants(&self) {
-        let rp = self.cfg.ru_pages();
         // 1. Every mapped LPN points at a valid page whose reverse map
         //    agrees.
         let mut mapped = 0u64;
-        for (lpn, &phys) in self.l2p.iter().enumerate() {
-            if phys == NO_PHYS {
+        for (lpn, &slot) in self.l2p.iter().enumerate() {
+            if slot == NO_PHYS {
                 continue;
             }
             mapped += 1;
-            let (ru_id, off) = (phys / rp, phys % rp);
+            let (ru_id, off) = self.decode(slot);
             let ru = &self.rus[ru_id as usize];
             assert!(
                 ru.is_valid(off),

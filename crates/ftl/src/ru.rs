@@ -18,9 +18,6 @@ pub enum RuPhase {
     Full,
 }
 
-/// Sentinel meaning "no logical page" in the reverse map.
-const NO_LPN: u64 = u64::MAX;
-
 /// One Reclaim Unit: a group of erase blocks striped across dies, filled
 /// round-robin so sequential appends exploit die parallelism.
 #[derive(Clone, Debug)]
@@ -35,8 +32,10 @@ pub struct Ru {
     pub write_ptr: u64,
     /// Number of currently valid pages.
     pub valid: u64,
-    /// Reverse map: RU offset → LPN (NO_LPN when invalid/unwritten).
-    rmap: Vec<u64>,
+    /// Reverse map: RU offset → LPN, meaningful only where the validity
+    /// bitmap is set (it starts zeroed, so a new RU touches no pages).
+    /// LPNs fit 32 bits: the FTL refuses devices of 2^32 pages or more.
+    rmap: Vec<u32>,
     /// Validity bitmap, one bit per RU page.
     bitmap: Vec<u64>,
     /// Times this RU was erased (wear).
@@ -53,7 +52,7 @@ impl Ru {
             owner_pid: 0,
             write_ptr: 0,
             valid: 0,
-            rmap: vec![NO_LPN; ru_pages as usize],
+            rmap: vec![0; ru_pages as usize],
             bitmap: vec![0; words],
             erase_count: 0,
         }
@@ -91,7 +90,7 @@ impl Ru {
         assert!(!self.is_full(), "append to full RU");
         let off = self.write_ptr;
         self.write_ptr += 1;
-        self.rmap[off as usize] = lpn;
+        self.rmap[off as usize] = u32::try_from(lpn).expect("LPN beyond 32-bit reverse map");
         self.bitmap[(off / 64) as usize] |= 1 << (off % 64);
         self.valid += 1;
         off
@@ -107,7 +106,7 @@ impl Ru {
         );
         self.bitmap[word] &= !bit;
         self.valid -= 1;
-        std::mem::replace(&mut self.rmap[offset as usize], NO_LPN)
+        self.rmap[offset as usize] as Lpn
     }
 
     /// True if the page at `offset` currently holds live data.
@@ -118,7 +117,7 @@ impl Ru {
     /// LPN stored at `offset`, if valid.
     pub fn lpn_at(&self, offset: u64) -> Option<Lpn> {
         if self.is_valid(offset) {
-            Some(self.rmap[offset as usize])
+            Some(self.rmap[offset as usize] as Lpn)
         } else {
             None
         }
@@ -135,7 +134,6 @@ impl Ru {
         self.owner_pid = 0;
         self.write_ptr = 0;
         self.valid = 0;
-        self.rmap.iter_mut().for_each(|l| *l = NO_LPN);
         self.bitmap.iter_mut().for_each(|w| *w = 0);
         self.erase_count += 1;
     }

@@ -15,7 +15,7 @@ use slimio_nvme::{DeviceError, NvmeDevice, LBA_BYTES};
 use std::sync::Mutex;
 
 use crate::costs::{FsProfile, KernelCosts};
-use crate::pagecache::PageCache;
+use crate::pagecache::{DirtyPage, PageCache};
 
 /// File descriptor (also the stable file id).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -68,16 +68,13 @@ pub struct WriteOutcome {
     pub throttle_wait: SimTime,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Extent {
-    lba: u64,
-    pages: u64,
-}
-
 #[derive(Debug)]
 struct FileMeta {
     name: String,
-    extents: Vec<Extent>,
+    /// First LBA of each extent, in file order. Every extent is
+    /// `SimFs::extent_pages` long, so page `p` lives in extent
+    /// `p / extent_pages`.
+    extents: Vec<u64>,
     size_bytes: u64,
 }
 
@@ -126,7 +123,7 @@ pub struct SimFs {
     by_name: HashMap<String, u64>,
     next_id: u64,
     alloc_cursor: u64,
-    free_extents: std::collections::VecDeque<Extent>,
+    free_extents: std::collections::VecDeque<u64>,
     capacity_pages: u64,
     extent_pages: u64,
     /// Cycling cursor into the reserved journal region.
@@ -178,7 +175,7 @@ impl SimFs {
     pub fn create(&mut self, name: &str) -> Result<Fd, FsError> {
         if let Some(&id) = self.by_name.get(name) {
             // Truncate existing.
-            self.truncate_inner(id)?;
+            self.truncate_inner(id);
             return Ok(Fd(id));
         }
         let id = self.next_id;
@@ -218,47 +215,33 @@ impl SimFs {
         v
     }
 
-    fn alloc_extent(&mut self) -> Result<Extent, FsError> {
+    /// Allocates one extent and returns its first LBA.
+    fn alloc_extent(&mut self) -> Result<u64, FsError> {
         // Fresh space first, then oldest-freed extents (log-structured
         // allocators cycle through segments rather than hot-reusing the
         // just-freed ones). The delay between free and reuse is what
         // leaves stale-but-unoverwritten pages inside GC victims.
         if self.alloc_cursor + self.extent_pages <= self.capacity_pages {
-            let e = Extent {
-                lba: self.alloc_cursor,
-                pages: self.extent_pages,
-            };
+            let lba = self.alloc_cursor;
             self.alloc_cursor += self.extent_pages;
-            return Ok(e);
+            return Ok(lba);
         }
-        if let Some(e) = self.free_extents.pop_front() {
-            return Ok(e);
-        }
-        Err(FsError::OutOfSpace)
+        self.free_extents.pop_front().ok_or(FsError::OutOfSpace)
     }
 
     fn ensure_pages(&mut self, id: u64, pages_needed: u64) -> Result<(), FsError> {
-        loop {
-            let have: u64 = self.files[&id].extents.iter().map(|e| e.pages).sum();
-            if have >= pages_needed {
-                return Ok(());
-            }
-            let e = self.alloc_extent()?;
-            self.files.get_mut(&id).unwrap().extents.push(e);
+        while (self.files[&id].extents.len() as u64) * self.extent_pages < pages_needed {
+            let lba = self.alloc_extent()?;
+            self.files.get_mut(&id).unwrap().extents.push(lba);
         }
+        Ok(())
     }
 
     /// Translates a file page index to a device LBA.
     fn lba_of(&self, id: u64, page: u64) -> Option<u64> {
-        let meta = self.files.get(&id)?;
-        let mut remaining = page;
-        for e in &meta.extents {
-            if remaining < e.pages {
-                return Some(e.lba + remaining);
-            }
-            remaining -= e.pages;
-        }
-        None
+        let extents = &self.files.get(&id)?.extents;
+        let lba = extents.get((page / self.extent_pages) as usize)?;
+        Some(lba + page % self.extent_pages)
     }
 
     /// Buffered `write()` of `len` bytes at byte `offset`.
@@ -273,12 +256,52 @@ impl SimFs {
         data: Option<&[u8]>,
         now: SimTime,
     ) -> Result<WriteOutcome, FsError> {
+        if let Some(d) = data {
+            debug_assert_eq!(d.len() as u64, len, "payload length mismatch");
+        }
+        self.buffered_write(fd, offset, len, now, |fs| {
+            fs.dirty_range(fd.0, offset, len, data)
+        })
+    }
+
+    /// Vectored `writev()`: writes `bufs` back to back starting at byte
+    /// `offset`, charging ONE syscall entry and ONE journal acquisition
+    /// for the whole gather list. This is the kernel half of group
+    /// commit: a batch of WAL records costs the syscall + journal-lock
+    /// price of a single write, however many buffers carry it.
+    pub fn writev(
+        &mut self,
+        fd: Fd,
+        offset: u64,
+        bufs: &[&[u8]],
+        now: SimTime,
+    ) -> Result<WriteOutcome, FsError> {
+        let len = bufs.iter().map(|b| b.len() as u64).sum();
+        self.buffered_write(fd, offset, len, now, |fs| {
+            // Each buffer at its running offset.
+            let mut buf_off = offset;
+            for d in bufs.iter().filter(|d| !d.is_empty()) {
+                fs.dirty_range(fd.0, buf_off, d.len() as u64, Some(d));
+                buf_off += d.len() as u64;
+            }
+        })
+    }
+
+    /// The body of `write` and `writev`: charges one syscall and one
+    /// journal acquisition for `len` bytes at `offset`, lets `dirty` fill
+    /// the cache, then runs background writeback and the dirty-limit
+    /// throttle.
+    fn buffered_write(
+        &mut self,
+        fd: Fd,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+        dirty: impl FnOnce(&mut Self),
+    ) -> Result<WriteOutcome, FsError> {
         let id = fd.0;
         if !self.files.contains_key(&id) {
             return Err(FsError::BadFd(fd));
-        }
-        if let Some(d) = data {
-            debug_assert_eq!(d.len() as u64, len, "payload length mismatch");
         }
         let first_page = offset / LBA_BYTES as u64;
         let last_page = (offset + len).div_ceil(LBA_BYTES as u64);
@@ -299,19 +322,7 @@ impl SimFs {
         t = end + fs_cpu;
 
         // 3. Dirty the cache.
-        for p in first_page..last_page.max(first_page + 1) {
-            let page_data = data.map(|d| {
-                let mut page_buf = self.cached_page_or_zeroes(id, p);
-                let page_start = p * LBA_BYTES as u64;
-                let from = offset.max(page_start);
-                let to = (offset + len).min(page_start + LBA_BYTES as u64);
-                let src = &d[(from - offset) as usize..(to - offset) as usize];
-                page_buf[(from - page_start) as usize..(to - page_start) as usize]
-                    .copy_from_slice(src);
-                page_buf
-            });
-            self.cache.write_page((id, p), page_data.as_deref());
-        }
+        dirty(self);
 
         // 4. Background writeback (the kworker): once the dirty set passes
         //    the background threshold, each write kicks out one batch —
@@ -342,129 +353,99 @@ impl SimFs {
         })
     }
 
-    /// Vectored `writev()`: writes `bufs` back to back starting at byte
-    /// `offset`, charging ONE syscall entry and ONE journal acquisition
-    /// for the whole gather list. This is the kernel half of group
-    /// commit: a batch of WAL records costs the syscall + journal-lock
-    /// price of a single write, however many buffers carry it.
-    pub fn writev(
-        &mut self,
-        fd: Fd,
-        offset: u64,
-        bufs: &[&[u8]],
-        now: SimTime,
-    ) -> Result<WriteOutcome, FsError> {
-        let id = fd.0;
-        if !self.files.contains_key(&id) {
-            return Err(FsError::BadFd(fd));
-        }
-        let len: u64 = bufs.iter().map(|b| b.len() as u64).sum();
+    /// Dirties the pages under `len` bytes at `offset` (at least one),
+    /// merging `data`, when present, into each page's cached contents.
+    fn dirty_range(&mut self, id: u64, offset: u64, len: u64, data: Option<&[u8]>) {
         let first_page = offset / LBA_BYTES as u64;
-        let last_page = (offset + len).div_ceil(LBA_BYTES as u64);
-        let pages = (last_page - first_page).max(1);
-        self.ensure_pages(id, last_page)?;
-
-        // 1. One syscall entry + user→kernel copy for the whole vector.
-        let syscall_cpu = self.costs.write_syscall(pages);
-        let mut t = now + syscall_cpu;
-
-        // 2. One journal acquisition covers every buffer in the batch.
-        let fs_cpu = self.profile.cpu(pages);
-        let hold = self.profile.journal_hold(pages);
-        let (start, end) = self.journal.serve(t, hold);
-        let journal_wait = start - t;
-        t = end + fs_cpu;
-
-        // 3. Dirty the cache, each buffer at its running offset.
-        let mut buf_off = offset;
-        for d in bufs {
-            let buf_len = d.len() as u64;
-            if buf_len == 0 {
-                continue;
-            }
-            let first = buf_off / LBA_BYTES as u64;
-            let last = (buf_off + buf_len).div_ceil(LBA_BYTES as u64);
-            for p in first..last {
+        let last_page = (offset + len)
+            .div_ceil(LBA_BYTES as u64)
+            .max(first_page + 1);
+        for p in first_page..last_page {
+            let page_data = data.map(|d| {
                 let mut page_buf = self.cached_page_or_zeroes(id, p);
                 let page_start = p * LBA_BYTES as u64;
-                let from = buf_off.max(page_start);
-                let to = (buf_off + buf_len).min(page_start + LBA_BYTES as u64);
-                let src = &d[(from - buf_off) as usize..(to - buf_off) as usize];
+                let from = offset.max(page_start);
+                let to = (offset + len).min(page_start + LBA_BYTES as u64);
+                let src = &d[(from - offset) as usize..(to - offset) as usize];
                 page_buf[(from - page_start) as usize..(to - page_start) as usize]
                     .copy_from_slice(src);
-                self.cache.write_page((id, p), Some(&page_buf[..]));
-            }
-            buf_off += buf_len;
+                page_buf
+            });
+            self.cache.write_page((id, p), page_data.as_deref());
         }
-
-        // 4/5. Background writeback and the dirty-limit throttle behave
-        //    exactly as in `write`.
-        if self.cache.dirty_count() >= self.cache.dirty_limit() / 2 {
-            let _ = self.writeback_batch(t)?;
-        }
-        let mut throttle_wait = SimTime::ZERO;
-        while self.cache.over_limit() {
-            let wb_done = self.writeback_batch(t)?;
-            throttle_wait += wb_done.saturating_sub(t);
-            t = t.max(wb_done);
-        }
-
-        let meta = self.files.get_mut(&id).unwrap();
-        meta.size_bytes = meta.size_bytes.max(offset + len);
-
-        Ok(WriteOutcome {
-            done_at: t,
-            syscall_cpu,
-            fs_cpu,
-            journal_wait,
-            throttle_wait,
-        })
     }
 
-    fn cached_page_or_zeroes(&mut self, id: u64, page: u64) -> Box<[u8]> {
+    fn cached_page_or_zeroes(&self, id: u64, page: u64) -> Box<[u8]> {
         match self.cache.peek_page((id, page)) {
             Some(Some(d)) => d.into(),
             _ => vec![0u8; LBA_BYTES].into_boxed_slice(),
         }
     }
 
-    /// Writes one batch of dirty pages to the device in paced chunks;
-    /// returns completion of the batch. On a persistent device error the
-    /// pages that never reached media go back into the dirty set — the
-    /// cache must not lose data it already took responsibility for.
+    /// Writes one batch of dirty pages (FIFO) to the device; returns
+    /// completion of the batch.
     fn writeback_batch(&mut self, now: SimTime) -> Result<SimTime, FsError> {
         let batch = self.cache.take_dirty(WRITEBACK_BATCH);
-        if batch.is_empty() {
-            return Ok(now);
-        }
+        self.flush(&batch, now, 0)
+    }
+
+    /// Writes `pages` to the device in paced `WB_CHUNK` waves from `now`,
+    /// then `journal_pages` serial journal/node blocks, each depending on
+    /// the previous; returns when the last write completes. On a
+    /// persistent device error the pages that never reached media go back
+    /// into the dirty set — the cache must not lose data it already took
+    /// responsibility for.
+    fn flush(
+        &mut self,
+        pages: &[DirtyPage],
+        now: SimTime,
+        journal_pages: u32,
+    ) -> Result<SimTime, FsError> {
+        let device = Arc::clone(&self.device);
+        let mut dev = device.lock().unwrap();
         let mut cursor = now;
         let mut failed: Option<(usize, DeviceError)> = None;
-        {
-            let mut dev = self.device.lock().unwrap();
-            'batch: for (ci, chunk) in batch.chunks(WB_CHUNK).enumerate() {
-                let mut chunk_done = cursor;
-                for (i, ((file, page), data)) in chunk.iter().enumerate() {
-                    let Some(lba) = self.lba_of(*file, *page) else {
-                        continue; // file deleted while dirty
-                    };
-                    match write_page_retrying(&mut dev, lba, data.as_deref(), cursor) {
-                        Ok(c) => chunk_done = chunk_done.max(c.done_at),
-                        Err(e) => {
-                            failed = Some((ci * WB_CHUNK + i, e));
-                            break 'batch;
-                        }
+        'waves: for (ci, chunk) in pages.chunks(WB_CHUNK).enumerate() {
+            let mut chunk_done = cursor;
+            for (i, ((file, page), data)) in chunk.iter().enumerate() {
+                let Some(lba) = self.lba_of(*file, *page) else {
+                    continue; // file deleted while dirty
+                };
+                match write_page_retrying(&mut dev, lba, data.as_deref(), cursor) {
+                    Ok(c) => chunk_done = chunk_done.max(c.done_at),
+                    Err(e) => {
+                        failed = Some((ci * WB_CHUNK + i, e));
+                        break 'waves;
                     }
                 }
-                cursor = chunk_done;
+            }
+            cursor = chunk_done;
+        }
+        if failed.is_none() {
+            for _ in 0..journal_pages {
+                let lba = self.capacity_pages + (self.journal_cursor % JOURNAL_LBAS);
+                self.journal_cursor += 1;
+                match write_page_retrying(&mut dev, lba, None, cursor) {
+                    Ok(c) => cursor = c.done_at,
+                    // Data pages all reached media; only the journal
+                    // commit failed, so nothing needs re-dirtying.
+                    Err(e) => {
+                        failed = Some((pages.len(), e));
+                        break;
+                    }
+                }
             }
         }
-        if let Some((idx, e)) = failed {
-            for ((file, page), data) in &batch[idx..] {
-                self.cache.write_page((*file, *page), data.as_deref());
+        drop(dev);
+        match failed {
+            None => Ok(cursor),
+            Some((idx, e)) => {
+                for (key, data) in &pages[idx..] {
+                    self.cache.write_page(*key, data.as_deref());
+                }
+                Err(FsError::Device(e))
             }
-            return Err(FsError::Device(e));
         }
-        Ok(cursor)
     }
 
     /// `fsync()`: flushes the file's dirty pages, then writes the
@@ -484,59 +465,13 @@ impl SimFs {
         let (start, end) = self.journal.serve(t, hold);
         let journal_wait = start - t;
         let dirty = self.cache.take_dirty_of_file(id);
-        let mut done;
-        let mut failed: Option<(usize, DeviceError)> = None;
-        {
-            let mut dev = self.device.lock().unwrap();
-            // Data writeback, paced per chunk.
-            let mut cursor = end;
-            'data: for (ci, chunk) in dirty.chunks(WB_CHUNK).enumerate() {
-                let mut chunk_done = cursor;
-                for (i, ((_, page), data)) in chunk.iter().enumerate() {
-                    let Some(lba) = self.lba_of(id, *page) else {
-                        continue;
-                    };
-                    match write_page_retrying(&mut dev, lba, data.as_deref(), cursor) {
-                        Ok(c) => chunk_done = chunk_done.max(c.done_at),
-                        Err(e) => {
-                            failed = Some((ci * WB_CHUNK + i, e));
-                            break 'data;
-                        }
-                    }
-                }
-                cursor = chunk_done;
-            }
-            done = cursor;
-            if failed.is_none() {
-                // Serial journal/node writes: each depends on the previous.
-                let journal_base = self.capacity_pages;
-                for _ in 0..self.profile.fsync_journal_pages {
-                    let lba = journal_base + (self.journal_cursor % JOURNAL_LBAS);
-                    self.journal_cursor += 1;
-                    match write_page_retrying(&mut dev, lba, None, done) {
-                        Ok(c) => done = c.done_at,
-                        // Data pages all reached media; only the journal
-                        // commit failed, so nothing needs re-dirtying.
-                        Err(e) => {
-                            failed = Some((dirty.len(), e));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((idx, e)) = failed {
-            for ((_, page), data) in &dirty[idx..] {
-                self.cache.write_page((id, *page), data.as_deref());
-            }
-            return Err(FsError::Device(e));
-        }
+        let done_at = self.flush(&dirty, end, self.profile.fsync_journal_pages)?;
         Ok(WriteOutcome {
-            done_at: done,
+            done_at,
             syscall_cpu,
             fs_cpu: self.profile.cpu_per_op,
             journal_wait,
-            throttle_wait: SimTime::ZERO,
+            ..WriteOutcome::default()
         })
     }
 
@@ -566,8 +501,8 @@ impl SimFs {
             if let Some((ra_start, ra_len)) = self.cache.plan_readahead(id, p) {
                 self.prefetch(id, ra_start, ra_len, t)?;
             }
-            let hit = self.cache.contains((id, p));
-            if !hit {
+            // One hit or one miss per page read.
+            if self.cache.read_page((id, p)).is_none() {
                 // Demand miss: synchronous device read.
                 let Some(lba) = self.lba_of(id, p) else {
                     continue;
@@ -576,7 +511,7 @@ impl SimFs {
                 t = t.max(c.done_at);
                 self.cache.fill_page((id, p), data.as_deref());
             }
-            if let Some(Some(d)) = self.cache.read_page((id, p)) {
+            if let Some(Some(d)) = self.cache.peek_page((id, p)) {
                 let page_start = p * LBA_BYTES as u64;
                 let from = offset.max(page_start);
                 let to = (offset + len).min(page_start + LBA_BYTES as u64);
@@ -590,9 +525,7 @@ impl SimFs {
             WriteOutcome {
                 done_at: t,
                 syscall_cpu,
-                fs_cpu: SimTime::ZERO,
-                journal_wait: SimTime::ZERO,
-                throttle_wait: SimTime::ZERO,
+                ..WriteOutcome::default()
             },
         ))
     }
@@ -619,7 +552,7 @@ impl SimFs {
         Ok(())
     }
 
-    fn truncate_inner(&mut self, id: u64) -> Result<(), FsError> {
+    fn truncate_inner(&mut self, id: u64) {
         self.cache.evict_file(id);
         let meta = self.files.get_mut(&id).unwrap();
         let extents = std::mem::take(&mut meta.extents);
@@ -630,9 +563,9 @@ impl SimFs {
         // LBAs are overwritten — the §3.1.4 "insufficient mechanisms" gap
         // that inflates the baseline's WAF. (SlimIO's passthru path
         // deallocates superseded regions explicitly and promptly.) Freed
-        // extents are reused LIFO, so invalidation happens by overwrite.
+        // extents are reused oldest first, so invalidation happens by
+        // overwrite.
         self.free_extents.extend(extents);
-        Ok(())
     }
 
     /// Deletes a file, trimming its extents on the device.
@@ -641,7 +574,7 @@ impl SimFs {
             .by_name
             .remove(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        self.truncate_inner(id)?;
+        self.truncate_inner(id);
         self.files.remove(&id);
         Ok(())
     }
@@ -654,7 +587,7 @@ impl SimFs {
             .remove(from)
             .ok_or_else(|| FsError::NotFound(from.to_string()))?;
         if let Some(old) = self.by_name.remove(to) {
-            self.truncate_inner(old)?;
+            self.truncate_inner(old);
             self.files.remove(&old);
         }
         self.by_name.insert(to.to_string(), id);
@@ -851,12 +784,10 @@ mod tests {
             f.read(fd, p * LBA_BYTES as u64, LBA_BYTES as u64, SimTime::ZERO)
                 .unwrap();
         }
-        let hits = f.cache().hits();
-        let misses = f.cache().misses();
-        assert!(
-            hits > misses,
-            "readahead should make most sequential reads hits: {hits} hits / {misses} misses"
-        );
+        // Page 0 is the one demand miss: its read primes the readahead
+        // window, and every later read finds its page prefetched.
+        assert_eq!(f.cache().misses(), 1);
+        assert_eq!(f.cache().hits(), 63);
     }
 
     #[test]
