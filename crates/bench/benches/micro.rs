@@ -16,10 +16,12 @@ use std::time::Instant;
 use slimio::{PassthruBackend, PassthruConfig};
 use slimio_des::{Scheduler, SimTime, Xoshiro256};
 use slimio_ftl::{Ftl, FtlConfig, PlacementMode};
+use slimio_imdb::backend::BackendError;
 use slimio_imdb::compress;
+use slimio_imdb::crc::crc32;
 use slimio_imdb::rdb::RdbWriter;
 use slimio_imdb::wal::{decode, encode, WalRecord};
-use slimio_imdb::{Db, DbConfig, LogPolicy};
+use slimio_imdb::{Db, DbConfig, IoTiming, LogPolicy, PersistBackend, SnapshotKind};
 use slimio_metrics::Histogram;
 use slimio_nvme::{DeviceConfig, NvmeDevice};
 use slimio_uring::{spsc, SharedClock};
@@ -238,6 +240,16 @@ fn bench_codecs(h: &Harness) {
     h.bench("codec/wal_decode_4k", 1_000_000, |_| {
         std::hint::black_box(decode(&encoded).unwrap());
     });
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let page: Vec<u8> = (0..4096)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (x >> 56) as u8
+        })
+        .collect();
+    h.bench("codec/crc32_4k", 1_000_000, |_| {
+        std::hint::black_box(crc32(std::hint::black_box(&page)));
+    });
     let value = vec![3u8; 4096];
     h.bench("codec/rdb_entry_4k", 10_000, |_| {
         let mut w = RdbWriter::new(64, 1 << 20);
@@ -305,6 +317,72 @@ fn bench_group_commit(h: &Harness) {
     }
 }
 
+/// A backend that accepts and drops every byte, so a bench of the
+/// engine's CPU path pays no device time and keeps no WAL in memory.
+struct NullBackend;
+
+impl PersistBackend for NullBackend {
+    fn wal_append(&mut self, _: &[u8], now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn wal_sync(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn wal_len(&self) -> u64 {
+        0
+    }
+    fn snapshot_begin(&mut self, _: SnapshotKind, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn snapshot_chunk(&mut self, _: &[u8], now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn snapshot_commit(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn snapshot_abort(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn load_snapshot(
+        &mut self,
+        _: SnapshotKind,
+        now: SimTime,
+    ) -> Result<(Option<Vec<u8>>, IoTiming), BackendError> {
+        Ok((None, IoTiming::instant(now)))
+    }
+    fn load_wal(&mut self, now: SimTime) -> Result<(Vec<u8>, IoTiming), BackendError> {
+        Ok((Vec::new(), IoTiming::instant(now)))
+    }
+}
+
+/// The live writer's engine work per SET at the benchmark's keyspace
+/// shape: 16 384 `key:%012d` keys, 4 KiB values, a read view installed
+/// and published every 20 SETs (one group-commit batch). Keys of this
+/// shape differ only in their middle bytes, so a hash without
+/// avalanche piles them into one bucket chain; 512 short keys (the
+/// group-commit sweep) are too few to show it.
+fn bench_keyspace(h: &Harness) {
+    let keys: Vec<Vec<u8>> = (0..16_384u64)
+        .map(|i| format!("key:{i:012}").into_bytes())
+        .collect();
+    let value = vec![b'v'; 4096];
+    let mut db = Db::new(NullBackend, DbConfig::default());
+    for key in &keys {
+        db.set_queued(key, &value);
+    }
+    db.flush_wal(SimTime::ZERO).unwrap();
+    let _view = db.install_view();
+    let mut k = 0;
+    h.bench("imdb/set_queued_4k_16k_keys", 400_000, |i| {
+        db.set_queued(&keys[k], &value);
+        k = (k + 1) % keys.len();
+        if i % 20 == 19 {
+            db.publish_view();
+            db.flush_wal(SimTime::ZERO).unwrap();
+        }
+    });
+}
+
 fn bench_zipf(h: &Harness) {
     let z = Zipfian::new(9_000_000);
     let mut rng = Xoshiro256::new(7);
@@ -330,5 +408,6 @@ fn main() {
     bench_codecs(&h);
     bench_metrics(&h);
     bench_group_commit(&h);
+    bench_keyspace(&h);
     bench_zipf(&h);
 }

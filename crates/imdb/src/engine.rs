@@ -11,7 +11,7 @@ use crate::backend::{BackendError, IoTiming, PersistBackend, SnapshotKind};
 use crate::fxhash::FxBuildHasher;
 use crate::snapshot::SnapshotJob;
 use crate::view::{ReadView, ViewWriter};
-use crate::wal::{self, WalBuffer, WalRecord};
+use crate::wal::{self, WalBuffer, WalRef};
 
 /// An owned `(key, value)` pair as the engine shares it across threads
 /// — the element type of [`Db::sorted_entries`] and the unit a sharded
@@ -642,32 +642,32 @@ impl<B: PersistBackend> Db<B> {
             }
         }
         let (wal_bytes, _t2) = db.backend.load_wal(t1.done_at)?;
-        let records = wal::replay(&wal_bytes);
-        let replayed = records.len() as u64;
-        let mut seqs = Vec::with_capacity(records.len());
-        for rec in records {
+        // Decode in place: each key and value is copied once, straight
+        // from the WAL bytes into its `Arc`.
+        let mut seqs = Vec::new();
+        for rec in wal::records(&wal_bytes) {
             db.seq = db.seq.max(rec.seq());
             seqs.push(rec.seq());
             match rec {
-                WalRecord::Set { key, value, .. } => {
-                    let old = db.map.insert(key.clone().into(), value.clone().into());
-                    match old {
-                        Some(o) => {
-                            db.base_mem -= o.len() as u64;
-                            db.base_mem += value.len() as u64;
-                        }
-                        None => {
-                            db.base_mem += (key.len() + value.len()) as u64 + cfg.entry_overhead;
-                        }
+                WalRef::Set { key, value, .. } => match db.map.get_mut(key) {
+                    Some(old) => {
+                        db.base_mem -= old.len() as u64;
+                        db.base_mem += value.len() as u64;
+                        *old = value.into();
                     }
-                }
-                WalRecord::Del { key, .. } => {
-                    if let Some(o) = db.map.remove(key.as_slice()) {
+                    None => {
+                        db.base_mem += (key.len() + value.len()) as u64 + cfg.entry_overhead;
+                        db.map.insert(key.into(), value.into());
+                    }
+                },
+                WalRef::Del { key, .. } => {
+                    if let Some(o) = db.map.remove(key) {
                         db.base_mem -= (key.len() + o.len()) as u64 + cfg.entry_overhead;
                     }
                 }
             }
         }
+        let replayed = seqs.len() as u64;
         db.bump_peak();
         Ok((db, replayed, seqs))
     }

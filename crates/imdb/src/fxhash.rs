@@ -4,10 +4,22 @@
 //! long setup; the keyspace map is the single hottest hash table in the
 //! simulator and its keys are short, trusted byte strings generated by
 //! the workload itself, so a multiply-xor hasher (the FxHash scheme used
-//! by rustc) is both safe here and several times faster. Determinism
-//! matters more than ever: this hasher is fully deterministic across
-//! processes, which also removes a source of iteration-order variance
-//! between runs with identical seeds.
+//! by rustc) is several times faster. Determinism matters more than
+//! ever: this hasher is fully deterministic across processes, which also
+//! removes a source of iteration-order variance between runs with
+//! identical seeds.
+//!
+//! The raw Fx state is not a usable hash on its own. Its word loop ends in
+//! a multiply, so the low k bits of the state depend only on the low k
+//! bits of the last input word. Keys that differ only in their middle
+//! bytes — the bench client's `key:000000001234`, whose 8-byte words keep
+//! their low bytes fixed — all land in one bucket of a table indexed by
+//! low bits, and every insert and lookup walks a chain as long as the
+//! keyspace. [`FxHasher::finish`] therefore applies a finalizer (the
+//! first xor-shift-multiply round of Murmur3's fmix64), which spreads
+//! every input bit over the low bits and the high bits alike. The
+//! engine map (low bits), the read view (top bits for its shard, low bits
+//! for its probe) and the server's shard routing (modulo) all rely on it.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -27,9 +39,14 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The Fx state through the finalizer (see the module docs for why
+    /// the raw state is not enough).
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let mut x = self.hash;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^ (x >> 33)
     }
 
     #[inline]
@@ -77,6 +94,7 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::hash::Hash;
 
     #[test]
     fn distinct_keys_hash_differently() {
@@ -88,6 +106,54 @@ mod tests {
         }
         // A real collision in 10k short keys would indicate a broken mix.
         assert!(seen.len() >= 9_990, "{} distinct hashes", seen.len());
+    }
+
+    /// The bench keyspace (`key:%012d`, 16 384 keys) hashed the two ways
+    /// the crate hashes keys: `Hash for [u8]` (length prefix, then bytes)
+    /// as the engine map does, and a bare `Hasher::write` as the read view
+    /// does. Without a finalizer every key shares one low-15-bit bucket.
+    #[test]
+    fn bench_keys_spread_over_buckets_and_view_shards() {
+        const KEYS: usize = 16_384;
+        const BUCKETS: usize = 1 << 15;
+        let keys: Vec<Vec<u8>> = (0..KEYS)
+            .map(|i| format!("key:{i:012}").into_bytes())
+            .collect();
+        let hash_all = |hash: fn(&[u8], &mut FxHasher)| -> Vec<u64> {
+            keys.iter()
+                .map(|k| {
+                    let mut h = FxHasher::default();
+                    hash(k, &mut h);
+                    h.finish()
+                })
+                .collect()
+        };
+        // Distinct buckets a uniform hash gives for n keys over m buckets.
+        let uniform = BUCKETS as f64 * (1.0 - (-(KEYS as f64) / BUCKETS as f64).exp());
+        for (how, hashes) in [
+            ("Hash for [u8]", hash_all(|k, h| k.hash(h))),
+            ("Hasher::write", hash_all(|k, h| h.write(k))),
+        ] {
+            let mut load = vec![0u32; BUCKETS];
+            for h in &hashes {
+                load[(*h as usize) & (BUCKETS - 1)] += 1;
+            }
+            let distinct = load.iter().filter(|&&n| n > 0).count();
+            let max = *load.iter().max().unwrap();
+            assert!(
+                distinct as f64 >= 0.9 * uniform,
+                "{how}: {distinct} distinct low-15-bit buckets, uniform gives {uniform:.0}"
+            );
+            assert!(max <= 12, "{how}: max bucket load {max}");
+            let mut view_shards = [false; 16];
+            for h in &hashes {
+                view_shards[(h >> 60) as usize] = true;
+            }
+            assert!(
+                view_shards.iter().all(|&hit| hit),
+                "{how}: view shards hit {view_shards:?}"
+            );
+        }
     }
 
     #[test]

@@ -100,9 +100,55 @@ pub enum WalDecodeError {
     BadFraming,
 }
 
-/// Decodes one record from the front of `buf`.
+/// A record decoded in place: key and value borrow the WAL bytes, so
+/// recovery builds each key and value allocation exactly once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WalRef<'a> {
+    /// `SET key value`.
+    Set {
+        /// Monotonic sequence number.
+        seq: u64,
+        /// Key bytes.
+        key: &'a [u8],
+        /// Value bytes.
+        value: &'a [u8],
+    },
+    /// `DEL key`.
+    Del {
+        /// Monotonic sequence number.
+        seq: u64,
+        /// Key bytes.
+        key: &'a [u8],
+    },
+}
+
+impl WalRef<'_> {
+    /// The record's sequence number.
+    pub fn seq(&self) -> u64 {
+        match self {
+            WalRef::Set { seq, .. } | WalRef::Del { seq, .. } => *seq,
+        }
+    }
+
+    /// Copies the borrowed bytes into an owned [`WalRecord`].
+    pub fn to_record(&self) -> WalRecord {
+        match *self {
+            WalRef::Set { seq, key, value } => WalRecord::Set {
+                seq,
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+            WalRef::Del { seq, key } => WalRecord::Del {
+                seq,
+                key: key.to_vec(),
+            },
+        }
+    }
+}
+
+/// Decodes one record in place from the front of `buf`.
 /// Returns the record and the bytes consumed.
-pub fn decode(buf: &[u8]) -> Result<(WalRecord, usize), WalDecodeError> {
+pub fn decode_ref(buf: &[u8]) -> Result<(WalRef<'_>, usize), WalDecodeError> {
     if buf.len() < 4 {
         return Err(WalDecodeError::Truncated);
     }
@@ -121,39 +167,44 @@ pub fn decode(buf: &[u8]) -> Result<(WalRecord, usize), WalDecodeError> {
     if 13 + klen + 4 > body.len() {
         return Err(WalDecodeError::BadFraming);
     }
-    let key = body[13..13 + klen].to_vec();
+    let key = &body[13..13 + klen];
     let vlen = u32::from_le_bytes(body[13 + klen..13 + klen + 4].try_into().unwrap()) as usize;
     if 13 + klen + 4 + vlen != body.len() {
         return Err(WalDecodeError::BadFraming);
     }
     let rec = match op {
-        OP_SET => WalRecord::Set {
+        OP_SET => WalRef::Set {
             seq,
             key,
-            value: body[13 + klen + 4..].to_vec(),
+            value: &body[13 + klen + 4..],
         },
-        OP_DEL => WalRecord::Del { seq, key },
+        OP_DEL => WalRef::Del { seq, key },
         other => return Err(WalDecodeError::BadOp(other)),
     };
     Ok((rec, 4 + len))
 }
 
-/// Replays a WAL byte stream, yielding records until the bytes run out or
-/// a torn/corrupt record is hit (which ends replay, mirroring Redis's
-/// truncated-AOF handling).
+/// Decodes one owned record from the front of `buf`.
+/// Returns the record and the bytes consumed.
+pub fn decode(buf: &[u8]) -> Result<(WalRecord, usize), WalDecodeError> {
+    decode_ref(buf).map(|(rec, used)| (rec.to_record(), used))
+}
+
+/// Walks a WAL byte stream in place, yielding records until the bytes run
+/// out or a torn/corrupt record is hit (which ends replay, mirroring
+/// Redis's truncated-AOF handling).
+pub fn records(buf: &[u8]) -> impl Iterator<Item = WalRef<'_>> {
+    let mut rest = buf;
+    std::iter::from_fn(move || {
+        let (rec, used) = decode_ref(rest).ok()?;
+        rest = &rest[used..];
+        Some(rec)
+    })
+}
+
+/// [`records`], copied out into owned records.
 pub fn replay(buf: &[u8]) -> Vec<WalRecord> {
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while pos < buf.len() {
-        match decode(&buf[pos..]) {
-            Ok((rec, used)) => {
-                out.push(rec);
-                pos += used;
-            }
-            Err(_) => break,
-        }
-    }
-    out
+    records(buf).map(|rec| rec.to_record()).collect()
 }
 
 /// The user-level WAL buffer (Redis's `aof_buf`).
@@ -255,6 +306,61 @@ mod tests {
             assert_eq!(decoded, rec);
             assert_eq!(used, buf.len());
         }
+    }
+
+    /// The exact bytes of one SET and one DEL record as the log has always
+    /// written them: framing, field order, endianness and CRC.
+    #[test]
+    fn encoding_is_pinned() {
+        let mut buf = Vec::new();
+        encode_set(
+            0x0102_0304_0506_0708,
+            b"key:000000001234",
+            b"val\x00\xffue",
+            &mut buf,
+        );
+        assert_eq!(
+            buf,
+            [
+                0x2c, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x01, 0x10,
+                0x00, 0x00, 0x00, 0x6b, 0x65, 0x79, 0x3a, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30,
+                0x30, 0x31, 0x32, 0x33, 0x34, 0x07, 0x00, 0x00, 0x00, 0x76, 0x61, 0x6c, 0x00, 0xff,
+                0x75, 0x65, 0xb0, 0x41, 0x8f, 0x4e,
+            ]
+        );
+        let mut buf = Vec::new();
+        encode_del(42, b"gone", &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0x19, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x04,
+                0x00, 0x00, 0x00, 0x67, 0x6f, 0x6e, 0x65, 0x00, 0x00, 0x00, 0x00, 0xd5, 0x65, 0x5c,
+                0xb0,
+            ]
+        );
+    }
+
+    #[test]
+    fn in_place_records_borrow_the_stream() {
+        let mut buf = Vec::new();
+        encode_set(1, b"k", b"v1", &mut buf);
+        encode_del(2, b"k", &mut buf);
+        let recs: Vec<WalRef<'_>> = records(&buf).collect();
+        assert_eq!(
+            recs,
+            [
+                WalRef::Set {
+                    seq: 1,
+                    key: b"k",
+                    value: b"v1"
+                },
+                WalRef::Del { seq: 2, key: b"k" },
+            ]
+        );
+        let WalRef::Set { value, .. } = recs[0] else {
+            unreachable!()
+        };
+        assert!(buf.as_ptr_range().contains(&value.as_ptr()));
     }
 
     #[test]

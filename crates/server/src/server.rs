@@ -102,30 +102,18 @@ const SHUTDOWN_DRAIN_IDLE: Duration = Duration::from_millis(150);
 /// command touches into a `u16` bitmask.
 pub(crate) const MAX_SHARDS: usize = 16;
 
-/// The shard that owns `key`: avalanched FxHash modulo the shard
-/// count. Every layer — connection routing, replica link re-sharding,
-/// tests — must agree on this function, and a key's shard never changes
-/// while the shard count holds, which is what makes per-key ordering a
-/// per-shard property.
-///
-/// The avalanche step matters: FxHash's word loop ends in a multiply,
-/// so the low k bits of the raw hash depend only on the low k bits of
-/// the last input word. Keys that differ only in their middle bytes —
-/// the bench client's `key:000000001234` format, where the final
-/// 8-byte word always starts with '0' — would all reduce to the same
-/// shard. The xor-multiply finalizer (Murmur3's fmix64) spreads every
-/// input byte across the low bits before the modulo.
+/// The shard that owns `key`: FxHash (finalized, so every key byte
+/// reaches the low bits) modulo the shard count. Every layer —
+/// connection routing, replica link re-sharding, tests — must agree on
+/// this function, and a key's shard never changes while the shard count
+/// holds, which is what makes per-key ordering a per-shard property.
 pub(crate) fn shard_of(key: &[u8], shards: usize) -> usize {
     if shards == 1 {
         return 0;
     }
     let mut h = FxHasher::default();
     h.write(key);
-    let mut x = h.finish();
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    (x as usize) % shards
+    (h.finish() as usize) % shards
 }
 
 /// Server tuning knobs.
@@ -2855,5 +2843,50 @@ impl Writer {
         s.push_str(&format!("waf:{waf:.2}\r\n"));
         s.push_str(&format!("device_capacity_bytes:{capacity}\r\n"));
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shard_of;
+
+    /// 32 bench-format keys, 16 short names and 16 binary keys (the empty
+    /// key included).
+    fn pinned_keys() -> Vec<Vec<u8>> {
+        let mut keys = Vec::new();
+        for i in 0..32u64 {
+            keys.push(format!("key:{:012}", i * 1031).into_bytes());
+        }
+        for i in 0..16u64 {
+            keys.push(format!("user{i}").into_bytes());
+        }
+        for i in 0..16u8 {
+            keys.push(vec![i.wrapping_mul(37); i as usize]);
+        }
+        keys
+    }
+
+    /// Shard routing is on-device state: a sharded store keeps each key's
+    /// WAL on the shard this function picks, and recovery and replicas
+    /// re-derive it. These are the shards of the keys above, one hex digit
+    /// per key, as the store has always routed them; they must never
+    /// change.
+    #[test]
+    fn routing_is_pinned() {
+        const WANT: [&str; 4] = [
+            "0001100101010010010110101010101001101111100001010001010100110101", // 2 shards
+            "0111211221000211221111100121102021212020220210200201222002220010", // 3
+            "0221122321212032230110121032323021123111102221030021030302310321", // 4
+            "ca6d5aa32161247e6705d4d290beb638219a359558e2a5cb0cadcf83ca71cba5", // 16
+        ];
+        let keys = pinned_keys();
+        for (n, want) in [2, 3, 4, 16].into_iter().zip(WANT) {
+            let got: String = keys
+                .iter()
+                .map(|k| format!("{:x}", shard_of(k, n)))
+                .collect();
+            assert_eq!(got, want, "{n} shards");
+        }
+        assert!(keys.iter().all(|k| shard_of(k, 1) == 0));
     }
 }
