@@ -483,7 +483,7 @@ impl<B: PersistBackend> Db<B> {
     }
 
     /// Starts mirroring every flushed WAL byte into an internal tap
-    /// buffer, drained by [`Db::take_tapped_wal`]. The tap sees exactly
+    /// buffer, drained by [`Db::drain_wal_tap`]. The tap sees exactly
     /// the bytes the backend accepted, in flush order — the replication
     /// stream is the WAL stream.
     pub fn enable_wal_tap(&mut self) {
@@ -492,13 +492,19 @@ impl<B: PersistBackend> Db<B> {
         }
     }
 
-    /// Drains the WAL tap. Empty when the tap is disabled or nothing has
-    /// flushed since the last drain.
-    pub fn take_tapped_wal(&mut self) -> Vec<u8> {
-        self.wal_tap
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// Drains the WAL tap: hands its bytes to `f`, then empties it. The
+    /// bytes are empty when the tap is disabled or nothing has flushed
+    /// since the last drain. The tap keeps its allocation, so a steady
+    /// stream of group commits re-fills the same buffer.
+    pub fn drain_wal_tap<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> R {
+        match self.wal_tap.as_mut() {
+            Some(tap) => {
+                let r = f(tap);
+                tap.clear();
+                r
+            }
+            None => f(&[]),
+        }
     }
 
     /// Serializes a point-in-time copy of the whole keyspace as one
@@ -989,21 +995,25 @@ mod tests {
     #[test]
     fn wal_tap_mirrors_flushed_bytes_exactly() {
         let mut db = file_db(LogPolicy::Always);
+        let take = |db: &mut Db<FileBackend>| db.drain_wal_tap(<[u8]>::to_vec);
+        assert!(take(&mut db).is_empty(), "a disabled tap drains nothing");
         db.enable_wal_tap();
-        assert!(db.take_tapped_wal().is_empty());
+        assert!(take(&mut db).is_empty());
         db.set(b"a", b"1", SimTime::ZERO).unwrap();
         db.set(b"b", b"2", SimTime::ZERO).unwrap();
-        let tapped = db.take_tapped_wal();
+        let tapped = take(&mut db);
         let records = wal::replay(&tapped);
         assert_eq!(records.len(), 2, "tap must carry the full WAL stream");
-        // Drained means drained.
-        assert!(db.take_tapped_wal().is_empty());
+        // Drained means drained, and the buffer is kept for the next
+        // batch.
+        assert!(take(&mut db).is_empty());
+        assert!(db.wal_tap.as_ref().unwrap().capacity() >= tapped.len());
         // Queued-but-unflushed bytes never reach the tap: the stream only
         // carries what the backend accepted.
         db.set_queued(b"c", b"3");
-        assert!(db.take_tapped_wal().is_empty());
+        assert!(take(&mut db).is_empty());
         db.batch_commit(SimTime::ZERO).unwrap();
-        assert_eq!(wal::replay(&db.take_tapped_wal()).len(), 1);
+        assert_eq!(wal::replay(&take(&mut db)).len(), 1);
     }
 
     #[test]

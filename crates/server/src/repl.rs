@@ -51,7 +51,7 @@ use slimio_imdb::wal::{self, WalDecodeError, WalRecord};
 
 use crate::govern::{lock_ok, Governor};
 use crate::resp::{self, Parser, Value};
-use crate::server::{shard_of, Request, Shared};
+use crate::server::{shard_of, ReplyMsg, Request, Shared};
 
 /// Error returned for writes sent to a replica.
 pub(crate) const READONLY_MSG: &str = "READONLY You can't write against a read only replica.";
@@ -64,11 +64,18 @@ pub(crate) const DEFAULT_BACKLOG_BYTES: usize = 1 << 20;
 /// global batch sequence (u64), all little-endian.
 pub(crate) const FRAME_HDR: usize = 4 + 2 + 8;
 
+/// The header of a stream frame carrying `payload_len` bytes.
+fn frame_header(shard: u16, gseq: u64, payload_len: usize) -> [u8; FRAME_HDR] {
+    let mut hdr = [0u8; FRAME_HDR];
+    hdr[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    hdr[4..6].copy_from_slice(&shard.to_le_bytes());
+    hdr[6..14].copy_from_slice(&gseq.to_le_bytes());
+    hdr
+}
+
 /// Encodes one stream frame onto `out`.
 pub(crate) fn encode_frame(shard: u16, gseq: u64, payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&gseq.to_le_bytes());
+    out.extend_from_slice(&frame_header(shard, gseq, payload.len()));
     out.extend_from_slice(payload);
 }
 
@@ -117,11 +124,14 @@ pub(crate) struct ReplicaPeer {
     pub(crate) feed: mpsc::Sender<Arc<[u8]>>,
 }
 
-/// Bounded window of the most recent WAL stream bytes. `start` is the
-/// absolute stream offset of `buf[0]`; eviction moves it forward.
+/// Bounded window of the most recent WAL stream bytes: a ring that
+/// grows to `cap` bytes, after which stream offset `o` lives at
+/// `buf[o % cap]` and new bytes overwrite the oldest in place, so
+/// eviction moves no retained byte. The retained window is the last
+/// `min(end, cap)` bytes of the stream.
 pub(crate) struct Backlog {
     buf: Vec<u8>,
-    start: u64,
+    end: u64,
     cap: usize,
 }
 
@@ -129,7 +139,7 @@ impl Backlog {
     fn new(cap: usize) -> Self {
         Backlog {
             buf: Vec::new(),
-            start: 0,
+            end: 0,
             cap: cap.max(1),
         }
     }
@@ -137,7 +147,7 @@ impl Backlog {
     /// Absolute offset one past the newest byte — the primary's
     /// `master_repl_offset`.
     pub(crate) fn end(&self) -> u64 {
-        self.start + self.buf.len() as u64
+        self.end
     }
 
     /// Bytes currently retained.
@@ -145,22 +155,43 @@ impl Backlog {
         self.buf.len()
     }
 
+    /// Absolute offset of the oldest retained byte.
+    fn start(&self) -> u64 {
+        self.end - self.buf.len() as u64
+    }
+
     fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-        if self.buf.len() > self.cap {
-            let excess = self.buf.len() - self.cap;
-            self.buf.drain(..excess);
-            self.start += excess as u64;
+        let cap = self.cap;
+        let end = self.end + bytes.len() as u64;
+        if end <= cap as u64 {
+            // Still growing: offsets are indices.
+            self.buf.extend_from_slice(bytes);
+        } else {
+            // Only the newest `cap` bytes survive; they land at their
+            // ring positions, wrapping at most once.
+            let keep = &bytes[bytes.len().saturating_sub(cap)..];
+            self.buf.resize(cap, 0);
+            let at = ((end - keep.len() as u64) % cap as u64) as usize;
+            let first = keep.len().min(cap - at);
+            self.buf[at..at + first].copy_from_slice(&keep[..first]);
+            self.buf[..keep.len() - first].copy_from_slice(&keep[first..]);
         }
+        self.end = end;
     }
 
     /// The stream from absolute offset `from` to the end, if every byte
     /// of it is still retained (partial-resync eligibility).
     pub(crate) fn tail_from(&self, from: u64) -> Option<Vec<u8>> {
-        if from < self.start || from > self.end() {
+        if from < self.start() || from > self.end {
             return None;
         }
-        Some(self.buf[(from - self.start) as usize..].to_vec())
+        let n = (self.end - from) as usize;
+        let at = (from % self.cap as u64) as usize;
+        let first = n.min(self.buf.len() - at);
+        let mut out = Vec::with_capacity(n);
+        out.extend_from_slice(&self.buf[at..at + first]);
+        out.extend_from_slice(&self.buf[..n - first]);
+        Some(out)
     }
 }
 
@@ -275,22 +306,29 @@ impl ReplState {
 
     /// Frames one tapped WAL segment — stamping the next global batch
     /// sequence under the lock, so concurrent shard writers serialize
-    /// here and the backlog's byte order is gseq order — then appends it
-    /// to the backlog and fans it out to every live feed, evicting
-    /// replicas that have lagged past the governor's feed limit. Called
-    /// by each shard's writer thread after its group commit — so
-    /// eviction is part of publishing, and a stalled replica can never
-    /// make a writer queue segments for it without bound. Returns the
-    /// stamped gseq.
-    pub(crate) fn publish_frame(&self, shard: u16, payload: Vec<u8>, gov: &Governor) -> u64 {
+    /// here and the backlog's byte order is gseq order — writing header
+    /// and payload straight into the backlog, and fans the frame out to
+    /// every live feed, evicting replicas that have lagged past the
+    /// governor's feed limit. The shared feed segment is built only
+    /// when a replica is attached. Called by each shard's writer thread
+    /// after its group commit — so eviction is part of publishing, and a
+    /// stalled replica can never make a writer queue segments for it
+    /// without bound. Returns the stamped gseq.
+    pub(crate) fn publish_frame(&self, shard: u16, payload: &[u8], gov: &Governor) -> u64 {
         let limit = gov.opts().repl_feed_limit;
         let mut inner = self.lock();
         inner.next_gseq += 1;
         let gseq = inner.next_gseq;
+        inner
+            .backlog
+            .push(&frame_header(shard, gseq, payload.len()));
+        inner.backlog.push(payload);
+        if inner.peers.is_empty() {
+            return gseq;
+        }
         let mut framed = Vec::with_capacity(FRAME_HDR + payload.len());
-        encode_frame(shard, gseq, &payload, &mut framed);
+        encode_frame(shard, gseq, payload, &mut framed);
         let seg: Arc<[u8]> = framed.into();
-        inner.backlog.push(&seg);
         let end = inner.backlog.end();
         inner.peers.retain(|p| {
             if !p.alive.load(Ordering::SeqCst) {
@@ -677,14 +715,14 @@ fn read_reply(
 }
 
 /// Waits for the writer's ack of one ReplSet/ReplApply request.
-fn wait_writer_ack(rx: &mpsc::Receiver<(Value, u64)>, ctx: &LinkCtx) -> std::io::Result<Value> {
+fn wait_writer_ack(rx: &mpsc::Receiver<ReplyMsg>, ctx: &LinkCtx) -> std::io::Result<()> {
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok((v, _seq)) => {
-                if v.is_error() {
+            Ok((values, _seq)) => {
+                if let Some(v) = values.iter().find(|v| v.is_error()) {
                     return Err(io_err(format!("writer refused apply: {v:?}")));
                 }
-                return Ok(v);
+                return Ok(());
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if !ctx.current() {
@@ -773,7 +811,7 @@ fn link_once(ctx: &LinkCtx) -> std::io::Result<()> {
                 .send(Request::ReplSet {
                     entries,
                     epoch: ctx.epoch,
-                    reply: atx,
+                    reply: Arc::new(atx),
                 })
                 .map_err(|_| io_err("writer gone"))?;
             acks.push(arx);
@@ -852,7 +890,7 @@ fn link_once(ctx: &LinkCtx) -> std::io::Result<()> {
                     .send(Request::ReplApply {
                         records,
                         epoch: ctx.epoch,
-                        reply: atx,
+                        reply: Arc::new(atx),
                     })
                     .map_err(|_| io_err("writer gone"))?;
                 acks.push(arx);
@@ -927,6 +965,101 @@ mod tests {
         assert_eq!(b.tail_from(9).as_deref(), Some(&b"j"[..]));
         assert_eq!(b.tail_from(10).as_deref(), Some(&b""[..]), "end is valid");
         assert_eq!(b.tail_from(11), None, "future offsets are not");
+    }
+
+    /// The backlog before it became a ring: a `Vec` that drains its
+    /// front past capacity. The differential test's oracle.
+    struct VecBacklog {
+        buf: Vec<u8>,
+        start: u64,
+        cap: usize,
+    }
+
+    impl VecBacklog {
+        fn new(cap: usize) -> Self {
+            VecBacklog {
+                buf: Vec::new(),
+                start: 0,
+                cap: cap.max(1),
+            }
+        }
+
+        fn end(&self) -> u64 {
+            self.start + self.buf.len() as u64
+        }
+
+        fn push(&mut self, bytes: &[u8]) {
+            self.buf.extend_from_slice(bytes);
+            if self.buf.len() > self.cap {
+                let excess = self.buf.len() - self.cap;
+                self.buf.drain(..excess);
+                self.start += excess as u64;
+            }
+        }
+
+        fn tail_from(&self, from: u64) -> Option<Vec<u8>> {
+            if from < self.start || from > self.end() {
+                return None;
+            }
+            Some(self.buf[(from - self.start) as usize..].to_vec())
+        }
+    }
+
+    /// The ring backlog answers exactly like the `Vec` one: LCG push
+    /// sizes from empty to three capacities (so the ring wraps many
+    /// times, and single pushes overrun it whole), checked after every
+    /// push at retained offsets and at the window's edges: one before
+    /// the first retained byte, `end` and `end + 1`. Up to 4096 bytes
+    /// every retained offset is checked; at 1 MiB, where each check
+    /// copies up to the whole window, 64 evenly spaced ones plus the
+    /// first and last 16.
+    #[test]
+    fn ring_backlog_matches_the_vec_oracle() {
+        for (cap, pushes) in [(1usize, 300), (8, 300), (4096, 40), (1 << 20, 8)] {
+            for seed in 1..=4u64 {
+                let mut x = seed;
+                let mut next = || {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    x >> 33
+                };
+                let mut ring = Backlog::new(cap);
+                let mut oracle = VecBacklog::new(cap);
+                for _ in 0..pushes {
+                    let n = next() % (3 * cap as u64 + 1);
+                    // Each byte is a hash of its stream offset, so a
+                    // misplaced byte cannot compare equal by accident.
+                    let from = oracle.end();
+                    let bytes: Vec<u8> = (from..from + n)
+                        .map(|o| (o.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+                        .collect();
+                    ring.push(&bytes);
+                    oracle.push(&bytes);
+                    let (start, end) = (oracle.start, oracle.end());
+                    assert_eq!(ring.end(), end, "cap {cap} seed {seed}");
+                    assert_eq!(ring.len(), oracle.buf.len(), "cap {cap} seed {seed}");
+                    let mut offsets: Vec<u64> = if cap <= 4096 {
+                        (start..=end).collect()
+                    } else {
+                        let step = ((end - start) / 64).max(1) as usize;
+                        (start..=end)
+                            .step_by(step)
+                            .chain(start..(start + 16).min(end))
+                            .chain(end.saturating_sub(16)..=end)
+                            .collect()
+                    };
+                    offsets.extend([start.wrapping_sub(1), end + 1]);
+                    for off in offsets {
+                        assert_eq!(
+                            ring.tail_from(off),
+                            oracle.tail_from(off),
+                            "cap {cap} seed {seed} offset {off} end {end}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,16 +20,19 @@
 //! shard's read view, and only after that are the batch's replies
 //! released — an ack still implies durability, and because the publish
 //! precedes the ack, a connection that has seen an ack can already read
-//! its own write from the view (read-your-writes). Each reply carries
-//! the shard's publish sequence; before serving a local read, a
-//! connection waits (trivially, per the ordering above) until the key's
-//! shard view has published that shard's newest acked sequence, and
-//! first drains any writer replies it still owes the socket so the
-//! reply stream stays in request order. Per-key ordering holds because
-//! a key always hashes to the same shard; multi-key DEL/EXISTS split
-//! per shard and their integer replies are summed. Replies accumulate
-//! in a per-connection scratch encoder and go out with one vectored
-//! write per drained burst; large values are spliced in as `Arc` slices
+//! its own write from the view (read-your-writes). The release is one
+//! channel message per destination connection per batch, carrying that
+//! connection's replies in execution order plus the shard's publish
+//! sequence; the connection queues them per shard and hands them out
+//! one at a time. Before serving a local read, a connection waits
+//! (trivially, per the ordering above) until the key's shard view has
+//! published that shard's newest acked sequence, and first drains any
+//! writer replies it still owes the socket so the reply stream stays
+//! in request order. Per-key ordering holds because a key always
+//! hashes to the same shard; multi-key DEL/EXISTS split per shard and
+//! their integer replies are summed. Replies accumulate in a
+//! per-connection scratch encoder and go out with one vectored write
+//! per drained burst; large values are spliced in as `Arc` slices
 //! without copying. Each writer pumps background snapshots between
 //! batches, triggers WAL-threshold snapshots exactly like the simulated
 //! pipeline does, and runs its own periodic flush timer, so an idle
@@ -38,9 +41,10 @@
 //!
 //! Replication rides the same write path (see [`crate::repl`] for the
 //! protocol): after each group commit a writer drains its engine's WAL
-//! tap into the replication backlog as one frame, stamped with a global
-//! batch sequence under the replication lock — the single total order
-//! that linearizes cross-shard effects — and fanned out to the attached
+//! tap into the replication backlog (a ring: eviction moves no bytes)
+//! as one frame, stamped with a global batch sequence under the
+//! replication lock — the single total order that linearizes
+//! cross-shard effects — and fanned out to the attached
 //! replicas' feeds, *before* any reply is released, so a client holding
 //! a write's ack knows the backlog already covers it, which is what
 //! lets `WAIT` run entirely on the connection thread. `PSYNC` hands the
@@ -323,10 +327,18 @@ impl ShardStat {
     }
 }
 
-/// One unit of work in flight to the writer thread. Command replies
-/// carry the engine sequence published when the command's batch
-/// committed; connections track the max as their newest acked sequence
-/// for the read-your-writes guard.
+/// One reply release from a writer to one reply channel: the replies
+/// that channel is owed from one batch, in execution order, and the
+/// engine sequence the batch published. Connections track the max
+/// sequence as their newest acked one for the read-your-writes guard.
+pub(crate) type ReplyMsg = (Vec<Value>, u64);
+
+/// Where a writer sends a request's reply. The `Arc` gives the channel
+/// an identity (`Arc::ptr_eq`), so a writer can group a batch's replies
+/// by destination and release each group as one [`ReplyMsg`].
+pub(crate) type ReplyTx = Arc<mpsc::Sender<ReplyMsg>>;
+
+/// One unit of work in flight to the writer thread.
 pub(crate) enum Request {
     /// A client command forwarded by a connection thread.
     Cmd {
@@ -334,7 +346,7 @@ pub(crate) enum Request {
         /// When the connection thread enqueued this command (after
         /// admission) — the start of the `queue` telemetry stage.
         queued_at: Instant,
-        reply: mpsc::Sender<(Value, u64)>,
+        reply: ReplyTx,
     },
     /// A `PSYNC` handoff: the connection thread surrenders the socket;
     /// shard 0's writer registers the replica between batches, gathers
@@ -351,7 +363,7 @@ pub(crate) enum Request {
     ReplSet {
         entries: Vec<(Vec<u8>, Vec<u8>)>,
         epoch: u64,
-        reply: mpsc::Sender<(Value, u64)>,
+        reply: ReplyTx,
     },
     /// Replica link thread → one shard writer: apply this shard's
     /// records from decoded stream frames. Acked only after the local
@@ -359,7 +371,7 @@ pub(crate) enum Request {
     ReplApply {
         records: Vec<WalRecord>,
         epoch: u64,
-        reply: mpsc::Sender<(Value, u64)>,
+        reply: ReplyTx,
     },
     /// Shard 0 → another shard: hand back a point-in-time copy of your
     /// keyspace (for `DEBUG DIGEST` and full-sync snapshots). Answered
@@ -1184,10 +1196,15 @@ fn connection_loop(
     });
     // One reply channel per shard for the whole connection: each shard's
     // writer sends replies back over that shard's pair (in that shard's
-    // request order), so a pipelined burst costs no per-command channel
-    // allocation and cross-shard replies are re-sequenced by `owed`.
-    let (rtxs, rrxs): (Vec<_>, Vec<_>) =
-        (0..shards).map(|_| mpsc::channel::<(Value, u64)>()).unzip();
+    // request order, one message per batch), so a pipelined burst costs
+    // no per-command channel allocation and cross-shard replies are
+    // re-sequenced by `owed`.
+    let (rtxs, mut replies): (Vec<ReplyTx>, Vec<ShardReplies>) = (0..shards)
+        .map(|_| {
+            let (tx, rx) = mpsc::channel();
+            (Arc::new(tx), ShardReplies::new(rx))
+        })
+        .unzip();
     // Writer-bound commands whose replies are still owed.
     let mut owed: Vec<Owed> = Vec::new();
     // Newest engine sequence this connection has seen acked, per shard.
@@ -1230,7 +1247,7 @@ fn connection_loop(
                         Route::Local => {
                             if !owed.is_empty()
                                 && !drain_writer_replies(
-                                    &rrxs,
+                                    &mut replies,
                                     &shared,
                                     &hist,
                                     &mut owed,
@@ -1275,7 +1292,7 @@ fn connection_loop(
                             // more.
                             if owed.len() >= shared.gov.opts().conn_inflight_cap
                                 && !drain_writer_replies(
-                                    &rrxs,
+                                    &mut replies,
                                     &shared,
                                     &hist,
                                     &mut owed,
@@ -1317,7 +1334,7 @@ fn connection_loop(
                                 // any slots it took.)
                                 if !owed.is_empty()
                                     && !drain_writer_replies(
-                                        &rrxs,
+                                        &mut replies,
                                         &shared,
                                         &hist,
                                         &mut owed,
@@ -1343,7 +1360,7 @@ fn connection_loop(
                                             .send(Request::Cmd {
                                                 args: sub,
                                                 queued_at,
-                                                reply: rtxs[s].clone(),
+                                                reply: Arc::clone(&rtxs[s]),
                                             })
                                             .is_err()
                                     {
@@ -1372,7 +1389,7 @@ fn connection_loop(
                             // target must cover them.
                             if !owed.is_empty()
                                 && !drain_writer_replies(
-                                    &rrxs,
+                                    &mut replies,
                                     &shared,
                                     &hist,
                                     &mut owed,
@@ -1394,7 +1411,7 @@ fn connection_loop(
                             // the socket to shard 0's writer and bow out.
                             if !owed.is_empty()
                                 && !drain_writer_replies(
-                                    &rrxs,
+                                    &mut replies,
                                     &shared,
                                     &hist,
                                     &mut owed,
@@ -1457,7 +1474,14 @@ fn connection_loop(
         // Collect whatever the writers still owe from this burst.
         if !lost_writer
             && !owed.is_empty()
-            && !drain_writer_replies(&rrxs, &shared, &hist, &mut owed, &mut last_acks, &mut reply)
+            && !drain_writer_replies(
+                &mut replies,
+                &shared,
+                &hist,
+                &mut owed,
+                &mut last_acks,
+                &mut reply,
+            )
         {
             lost_writer = true;
         }
@@ -1490,7 +1514,7 @@ fn connection_loop(
 /// list front to back and each mask in ascending shard order matches
 /// sends to replies exactly. Returns false when a writer is gone.
 fn drain_writer_replies(
-    rrxs: &[mpsc::Receiver<(Value, u64)>],
+    replies: &mut [ShardReplies],
     shared: &Shared,
     hist: &Arc<Mutex<Histogram>>,
     owed: &mut Vec<Owed>,
@@ -1501,13 +1525,12 @@ fn drain_writer_replies(
         let mut sum = 0i64;
         let mut first_err: Option<Value> = None;
         let mut single: Option<Value> = None;
-        for (s, rrx) in rrxs.iter().enumerate() {
+        for (s, shard_replies) in replies.iter_mut().enumerate() {
             if o.mask & (1 << s) == 0 {
                 continue;
             }
-            match wait_reply(rrx, shared) {
-                Some((value, seq)) => {
-                    last_acks[s] = last_acks[s].max(seq);
+            match shard_replies.wait_reply(shared, &mut last_acks[s]) {
+                Some(value) => {
                     match &value {
                         Value::Int(n) => sum += *n,
                         Value::Error(_) if first_err.is_none() => first_err = Some(value.clone()),
@@ -1535,29 +1558,72 @@ fn drain_writer_replies(
     true
 }
 
-/// Waits for one reply from the writer. The connection keeps its own
-/// sender clone alive, so a dead writer cannot be observed as a
-/// disconnect; bail out when the server is being killed, or when a
-/// cleanly stopping server has stayed silent well past its shutdown drain
-/// window (the request raced past the writer's exit and will never be
-/// answered).
-fn wait_reply(rrx: &mpsc::Receiver<(Value, u64)>, shared: &Shared) -> Option<(Value, u64)> {
-    let mut waited = Duration::ZERO;
-    loop {
-        match rrx.recv_timeout(Duration::from_millis(100)) {
-            Ok(v) => return Some(v),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.kill.load(Ordering::SeqCst) {
-                    return None;
-                }
-                waited += Duration::from_millis(100);
-                if shared.stop.load(Ordering::SeqCst) && waited >= Duration::from_secs(2) {
-                    return None;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+/// One shard's reply stream into a connection. The shard's writer
+/// releases each batch's replies for this connection as one message;
+/// `ready` hands them out one at a time, in request order.
+struct ShardReplies {
+    rx: mpsc::Receiver<ReplyMsg>,
+    ready: std::vec::IntoIter<Value>,
+}
+
+impl ShardReplies {
+    fn new(rx: mpsc::Receiver<ReplyMsg>) -> Self {
+        ShardReplies {
+            rx,
+            ready: Vec::new().into_iter(),
         }
     }
+
+    /// The next reply from the writer: one already released, else the
+    /// first of the next release, whose published sequence raises
+    /// `last_ack`. The connection keeps its own sender alive, so a dead
+    /// writer cannot be observed as a disconnect; bail out when the
+    /// server is being killed, or when a cleanly stopping server has
+    /// stayed silent well past its shutdown drain window (the request
+    /// raced past the writer's exit and will never be answered).
+    fn wait_reply(&mut self, shared: &Shared, last_ack: &mut u64) -> Option<Value> {
+        let mut waited = Duration::ZERO;
+        loop {
+            if let Some(v) = self.ready.next() {
+                return Some(v);
+            }
+            match self.rx.recv_timeout(Duration::from_millis(100)) {
+                Ok((values, seq)) => {
+                    *last_ack = (*last_ack).max(seq);
+                    self.ready = values.into_iter();
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if shared.kill.load(Ordering::SeqCst) {
+                        return None;
+                    }
+                    waited += Duration::from_millis(100);
+                    if shared.stop.load(Ordering::SeqCst) && waited >= Duration::from_secs(2) {
+                        return None;
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            }
+        }
+    }
+}
+
+/// Parks `value` for release on `to`, behind the replies already parked
+/// for that channel. Returns its slot as (entry, position).
+fn park_reply(
+    releases: &mut Vec<(ReplyTx, Vec<Value>)>,
+    to: ReplyTx,
+    value: Value,
+) -> (usize, usize) {
+    let g = match releases.iter().rposition(|(tx, _)| Arc::ptr_eq(tx, &to)) {
+        Some(g) => g,
+        None => {
+            releases.push((to, Vec::new()));
+            releases.len() - 1
+        }
+    };
+    let values = &mut releases[g].1;
+    values.push(value);
+    (g, values.len() - 1)
 }
 
 /// One shard's writer thread: owns that shard's engine (its slice of
@@ -1630,8 +1696,12 @@ impl Writer {
     }
 
     fn run(mut self) -> AnyBackend {
-        let mut pending: Vec<(mpsc::Sender<(Value, u64)>, Value)> = Vec::with_capacity(MAX_BATCH);
-        let mut write_acks: Vec<usize> = Vec::with_capacity(MAX_BATCH);
+        // The batch's parked replies, one entry per destination channel
+        // (in first-use order) holding that channel's replies in
+        // execution order; `write_acks` addresses the commit-contingent
+        // ones as (entry, position).
+        let mut releases: Vec<(ReplyTx, Vec<Value>)> = Vec::new();
+        let mut write_acks: Vec<(usize, usize)> = Vec::with_capacity(MAX_BATCH);
         // Slowlog bookkeeping per batch: (enqueue time, queue-stage ns,
         // argv) for each executed client command.
         let mut cmd_meta: Vec<(Instant, u64, Vec<Vec<u8>>)> = Vec::new();
@@ -1724,7 +1794,6 @@ impl Writer {
             // Execute every command, queueing WAL records in the engine
             // while deferring the flush; every reply is parked until the
             // group commit lands so no ack precedes its batch's sync.
-            pending.clear();
             write_acks.clear();
             let mut refused = false;
             for req in batch {
@@ -1818,10 +1887,10 @@ impl Writer {
                         continue;
                     }
                 };
+                let slot = park_reply(&mut releases, sender, value);
                 if wrote {
-                    write_acks.push(pending.len());
+                    write_acks.push(slot);
                 }
-                pending.push((sender, value));
                 if self.shared.stop.load(Ordering::SeqCst) {
                     refused = true;
                 }
@@ -1840,8 +1909,8 @@ impl Writer {
                     Ok(t) => commit = t,
                     Err(e) => {
                         let err = Value::err(format!("write failed: {e}"));
-                        for &i in &write_acks {
-                            pending[i].1 = err.clone();
+                        for &(g, i) in &write_acks {
+                            releases[g].1[i] = err.clone();
                         }
                         // The errored acks also cover ReplSet/ReplApply:
                         // the link thread reads an error ack as link
@@ -1887,12 +1956,21 @@ impl Writer {
             self.shared
                 .gov
                 .record_engine_bytes(self.total_mem_governed());
-            // Release replies in execution order; each connection's
-            // replies land on its own channel in request order.
-            for (reply, value) in pending.drain(..) {
-                let _ = reply.send((value, published_seq));
+            // Release replies: one message per destination channel,
+            // carrying that channel's replies in request order. The
+            // `reply` stage ends just before the last send: a send wakes
+            // a connection that records its end-to-end time at once, and
+            // on a busy host the writer may not run again until after
+            // that, so a later stamp would stretch the stage past the
+            // end-to-end window it is part of.
+            let last = releases.pop();
+            for (tx, values) in releases.drain(..) {
+                let _ = tx.send((values, published_seq));
             }
             let t_done = Instant::now();
+            if let Some((tx, values)) = last {
+                let _ = tx.send((values, published_seq));
+            }
             let reply_ns = dur_ns(t_done.duration_since(t_post));
             rec.reply.record(reply_ns);
             rec.batches.inc();
@@ -1982,7 +2060,7 @@ impl Writer {
                 | Request::ReplSet { reply, .. }
                 | Request::ReplApply { reply, .. } => {
                     let _ = reply.send((
-                        Value::Error("ERR server shutting down".to_string()),
+                        vec![Value::Error("ERR server shutting down".to_string())],
                         final_seq,
                     ));
                 }
@@ -2370,12 +2448,12 @@ impl Writer {
     /// global batch order and the replica's in-order apply linearizes
     /// cross-shard effects.
     fn pump_repl(&mut self) {
-        let bytes = self.db.take_tapped_wal();
-        if !bytes.is_empty() {
-            let gseq = self
-                .repl
-                .publish_frame(self.shard as u16, bytes, &self.shared.gov);
-            self.shared.shard_stats[self.shard]
+        let (shard, repl, gov) = (self.shard, &self.repl, &self.shared.gov);
+        let gseq = self.db.drain_wal_tap(|bytes| {
+            (!bytes.is_empty()).then(|| repl.publish_frame(shard as u16, bytes, gov))
+        });
+        if let Some(gseq) = gseq {
+            self.shared.shard_stats[shard]
                 .last_gseq
                 .store(gseq, Ordering::Relaxed);
         }

@@ -15,6 +15,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use slimio_des::SimTime;
@@ -78,16 +79,21 @@ fn batch(port: u16, cmds: &[Vec<Vec<u8>>]) -> Vec<Value> {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
+    pipeline(&mut stream, &mut Parser::new(), cmds)
+}
+
+/// Pipelines `cmds` over an open connection and returns one reply per
+/// command.
+fn pipeline(stream: &mut TcpStream, parser: &mut Parser, cmds: &[Vec<Vec<u8>>]) -> Vec<Value> {
     let mut out = Vec::new();
     for c in cmds {
         resp::encode_command(c, &mut out);
     }
     stream.write_all(&out).unwrap();
-    let mut parser = Parser::new();
     let mut rbuf = vec![0u8; 64 << 10];
     let mut replies = Vec::with_capacity(cmds.len());
     while replies.len() < cmds.len() {
-        replies.push(bench::read_value(&mut stream, &mut parser, &mut rbuf).expect("reply"));
+        replies.push(bench::read_value(stream, parser, &mut rbuf).expect("reply"));
     }
     replies
 }
@@ -589,6 +595,119 @@ fn debug_fault_transient_failures_are_absorbed() {
                 Value::bulk(b"v"),
                 "{kind:?}: write lost despite ack"
             );
+        }
+        handle.shutdown();
+    }
+}
+
+/// A group commit that fails past the retry budget retracts every ack it
+/// covered, and each retraction reaches the connection that sent the
+/// command, in request order: also when one batch holds two
+/// connections' commands (one shard), and when one connection's burst
+/// fans out over shards (four shards, with multi-key DELs and a
+/// shard-0 DBSIZE in between). Replies that never depended on the
+/// commit (argument errors, DBSIZE) pass through unchanged, and no SET
+/// acks while the fault is armed.
+#[test]
+fn debug_fault_failed_commits_retract_acks_per_connection() {
+    const CONNS: usize = 2;
+    const ROUNDS: usize = 6;
+    const DEPTH: usize = 16;
+    for shards in [1usize, 4] {
+        let store = Store::new(StoreConfig {
+            kind: BackendKind::Passthru,
+            fdp: true,
+            ratio: RATIO,
+            shards,
+        });
+        let handle = Server::start(store, opts(LogPolicy::Always)).expect("start");
+        let port = handle.port();
+        // Keys for the DELs, durable before the fault: each DEL in the
+        // bursts removes three of them, so it is a contingent write.
+        let mut preload = Vec::new();
+        for c in 0..CONNS {
+            for r in 0..ROUNDS {
+                for j in 0..3 {
+                    preload.push(set(&format!("del:{c}:{r}:{j}"), "v"));
+                }
+            }
+        }
+        assert!(batch(port, &preload).iter().all(|v| *v == Value::ok()));
+        // Every device write from the next one on fails: far more than the
+        // 64 re-drives a failed page write gets, so every commit fails.
+        assert_eq!(
+            send(port, &[b"DEBUG", b"FAULT", b"fail@1x100000000"]),
+            Value::ok()
+        );
+
+        let barrier = Arc::new(Barrier::new(CONNS));
+        let clients: Vec<_> = (0..CONNS)
+            .map(|c| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+                    stream.set_nodelay(true).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    let mut parser = Parser::new();
+                    barrier.wait();
+                    for r in 0..ROUNDS {
+                        // The command mix differs per connection and per
+                        // round, so a reply routed to the wrong connection
+                        // or position breaks the expected pattern.
+                        let mut cmds = Vec::with_capacity(DEPTH);
+                        for i in 0..DEPTH {
+                            let key = format!("k:{c}:{r}:{i}");
+                            cmds.push(match (i + c + r) % 7 {
+                                0 => vec![b"SET".to_vec(), key.into_bytes()],
+                                3 => {
+                                    let mut del = vec![b"DEL".to_vec()];
+                                    del.extend(
+                                        (0..3).map(|j| format!("del:{c}:{r}:{j}").into_bytes()),
+                                    );
+                                    del
+                                }
+                                5 => vec![b"DBSIZE".to_vec()],
+                                _ => set(&key, "v"),
+                            });
+                        }
+                        // A round's DELs all name the same three keys.
+                        // The first removes them (the engine map keeps a
+                        // failed batch's mutations) and fails with its
+                        // batch; later ones remove nothing, write nothing
+                        // and reply 0.
+                        let mut deleted = false;
+                        let replies = pipeline(&mut stream, &mut parser, &cmds);
+                        for (i, (cmd, reply)) in cmds.iter().zip(&replies).enumerate() {
+                            let at = format!("shards {shards} conn {c} round {r} cmd {i}");
+                            match (cmd[0].as_slice(), cmd.len()) {
+                                (b"SET", 2) => assert_eq!(
+                                    *reply,
+                                    Value::err("wrong number of arguments for 'set' command"),
+                                    "{at}"
+                                ),
+                                (b"DBSIZE", _) => {
+                                    assert!(matches!(reply, Value::Int(_)), "{at}: {reply:?}")
+                                }
+                                (b"DEL", _) if deleted => {
+                                    assert_eq!(*reply, Value::Int(0), "{at}")
+                                }
+                                _ => {
+                                    deleted |= cmd[0] == b"DEL";
+                                    match reply {
+                                        Value::Error(e) if e.starts_with("ERR write failed") => {}
+                                        other => panic!("{at}: {cmd:?} -> {other:?}"),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in clients {
+            t.join().expect("client thread");
         }
         handle.shutdown();
     }
